@@ -15,6 +15,8 @@ from repro.bench.queries import hop4_proj
 from repro.cq.join_tree import best_tree
 from repro.spark.partitioned import PartitionedCrown
 
+pytestmark = pytest.mark.spark
+
 N_EVENTS = 1200
 
 

@@ -220,19 +220,6 @@ class JoinTree:
 
         return rec(self.root)
 
-    def describe(self) -> str:
-        lines: list[str] = []
-
-        def rec(n: str, depth: int) -> None:
-            node = self.nodes[n]
-            tag = node.relation or f"[{','.join(sorted(node.attrs))}]"
-            lines.append("  " * depth + tag)
-            for c in node.children:
-                rec(c, depth + 1)
-
-        rec(self.root, 0)
-        return "\n".join(lines)
-
 
 # ---------------------------------------------------------------------------
 # classification tests (GYO)
@@ -319,7 +306,8 @@ def _canonicalize_root(tree: JoinTree) -> JoinTree | None:
     """Ensure root ⊆ y by capping with a generalized root [root ∩ y].
 
     Def. 3.2 requires ``r ⊆ y``; the paper adds e.g. ``[x1]`` on top in
-    §6.2. No-op when the root already qualifies.
+    §6.2. No-op when the root already qualifies. A Boolean query
+    (``y = ∅``) gets the empty generalized root ``[]``.
     """
     cq = tree.cq
     y = cq.output_set
@@ -327,7 +315,7 @@ def _canonicalize_root(tree: JoinTree) -> JoinTree | None:
     if rnode.attr_set <= y:
         return tree
     g = rnode.attr_set & y
-    if not g:
+    if not g and y:
         return None
     parent_of = {
         n.relation: n.parent

@@ -114,8 +114,8 @@ class SparkCrown:
         """Apply one batch; return the signed output delta frame.
 
         ``stream_deltas[stream]`` carries a ``sign`` column (±1) plus
-        the stream's value columns, already compacted (one event per
-        tuple; use ``repro.spark.state.compact_batch`` otherwise).
+        the stream's value columns, already compacted by the caller
+        (at most one event per tuple: the last one wins).
         """
         old_vs = {n: s.vs for n, s in self.nodes.items()}
         old_vp = {n: self._vp(s, s.vs) for n, s in self.nodes.items()}

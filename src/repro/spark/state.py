@@ -9,7 +9,6 @@ Streaming state-store equivalent for a synchronous driver loop).
 from __future__ import annotations
 
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 
 def empty_df(spark: SparkSession, cols: list[str]) -> DataFrame:
@@ -53,26 +52,3 @@ def anti(df: DataFrame, other: DataFrame, on: list[str]) -> DataFrame:
         return df.limit(0) if not other.isEmpty() else df
     return df.join(other.select(on).dropDuplicates(), on=on, how="left_anti")
 
-
-def sign_split(delta: DataFrame, cols: list[str]) -> tuple[DataFrame, DataFrame]:
-    """Split a signed delta frame into (inserts, deletes) on `sign`."""
-    ins = delta.filter(F.col("sign") > 0).select(cols)
-    dels = delta.filter(F.col("sign") < 0).select(cols)
-    return ins, dels
-
-
-def compact_batch(delta: DataFrame, cols: list[str]) -> DataFrame:
-    """Micro-batch compaction: keep only the last event per tuple.
-
-    ``delta`` carries (seq, sign, *cols); within a batch the final
-    state change per tuple is its latest event (standard streaming
-    upsert semantics).
-    """
-    from pyspark.sql import Window
-
-    w = Window.partitionBy(*cols).orderBy(F.col("seq").desc())
-    return (
-        delta.withColumn("__rn", F.row_number().over(w))
-        .filter(F.col("__rn") == 1)
-        .drop("__rn", "seq")
-    )

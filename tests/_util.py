@@ -26,6 +26,33 @@ def expected_result(cq: CQ, stream_db: dict[str, set], post_filter=None) -> set:
     return out
 
 
+def snb_tuple_maker(rng, stream):
+    """Small-domain SNB-lite tuples for ``random_updates`` (60% NULL replyof)."""
+    if stream == "message":
+        return (
+            rng.randrange(6),
+            rng.randrange(6),
+            None if rng.random() < 0.6 else rng.randrange(6),
+        )
+    if stream == "person":
+        return (rng.randrange(6), f"fn{rng.randrange(3)}", f"ln{rng.randrange(3)}")
+    if stream == "tag":
+        return (rng.randrange(6), f"tag{rng.randrange(6)}")
+    if stream == "knows":
+        return (rng.randrange(8), rng.randrange(8))
+    if stream == "message_tag":
+        return (rng.randrange(6), rng.randrange(6))
+    raise KeyError(stream)
+
+
+def fuzz_streams(bq):
+    """(stream arities, tuple maker) for ``random_updates`` over the
+    streams of a benchmark query."""
+    if bq.kind == "snb":
+        return {r.stream: 0 for r in bq.cq.relations}, snb_tuple_maker
+    return {r.stream: len(r.attrs) for r in bq.cq.relations}, None
+
+
 def random_updates(
     streams_arity: dict[str, int],
     steps: int,
@@ -58,12 +85,18 @@ def fuzz_engine_vs_naive(
     post_filter=None,
     tuple_maker=None,
     check_full=None,
+    initial=None,
 ):
     """Drive an engine with random updates; assert every delta against
-    brute-force recomputation. Returns the engine for further checks."""
+    brute-force recomputation. ``initial`` (stream -> tuples) is
+    bulk-loaded first. Returns the engine for further checks."""
     eng = make_engine()
-    dbs: dict[str, set] = {s: set() for s in streams_arity}
+    dbs: dict[str, set] = {s: set((initial or {}).get(s, ())) for s in streams_arity}
     cur: set = set()
+    if initial is not None:
+        eng.bulk_load(initial)
+        cur = expected_result(cq, dbs, post_filter)
+        assert check_full_result(eng) == cur, f"{cq.name}: bulk_load mismatch"
     for step, (s, t, ins) in enumerate(
         random_updates(streams_arity, steps, dom, seed, tuple_maker=tuple_maker)
     ):

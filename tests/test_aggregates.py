@@ -10,8 +10,7 @@ from repro.core.aggregates import (
 from repro.core.engine import CrownEngine
 from repro.cq.query import CQ, Relation
 from repro.streams.sequences import Update
-from tests._util import expected_result, random_updates
-from tests.test_engine_deltas import snb_tuple_maker
+from tests._util import expected_result, random_updates, snb_tuple_maker
 
 
 def two_hop():
@@ -116,6 +115,7 @@ class TestDistinctConsumerUnit:
 
 
 class TestAgainstDuckDB:
+    @pytest.mark.spark
     def test_sum_aggregate_vs_duckdb_tpch(self, spark):
         """TPC-H-lite: SUM(quantity) per order-priority through CROWN
         + ring aggregation, cross-checked with DuckDB."""

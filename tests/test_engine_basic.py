@@ -97,6 +97,21 @@ class TestBasics:
         deltas = eng.apply(Update("S", (2, 9), True))
         assert set(deltas) == {(1, (1, 2, 9)), (1, (5, 2, 9))}
 
+    def test_wrong_arity_rejected(self):
+        eng = CrownEngine(two_hop())
+        with pytest.raises(ValueError, match="arity 2, got a 3-tuple"):
+            eng.apply(Update("R", (1, 2, 3), True))
+        with pytest.raises(ValueError, match="arity 2, got a 1-tuple"):
+            eng.apply_atom("S", (2,), True)
+        assert eng.space() == 0
+
+    def test_unconsumed_stream_ignored(self):
+        from repro.bench.queries import snb_q2
+
+        eng = CrownEngine(snb_q2().cq)
+        assert eng.apply(Update("person", (1, "fn", "ln"), True)) == []
+        assert eng.space() == 0
+
     def test_invalid_tree_rejected(self):
         cq = two_hop()
         other = CQ(
@@ -171,6 +186,24 @@ class TestSpace:
                 n += 1
         # 4 atoms × (tuples + child indexes + vs + vp + yproj + live…)
         assert eng.space() <= 40 * n
+
+    def test_dropped_engine_frees_views_at_once(self):
+        # no reference cycles between nodes: a dropped engine's views go
+        # when its last reference does, not at the next cyclic collection
+        import gc
+        import weakref
+
+        from repro.bench.queries import snb_q2
+
+        eng = CrownEngine(snb_q2().cq)
+        eng.apply(Update("knows", (10, 1), True))
+        refs = [weakref.ref(n) for n in eng.nodes.values()]
+        gc.disable()
+        try:
+            del eng
+            assert all(r() is None for r in refs)
+        finally:
+            gc.enable()
 
     def test_space_shrinks_on_delete(self):
         eng = CrownEngine(two_hop())

@@ -10,29 +10,12 @@ import pytest
 from repro.bench.queries import GRAPH_QUERIES, SNB_QUERIES
 from repro.core.engine import CrownEngine
 from repro.cq.join_tree import best_tree, free_connex_trees
+from repro.cq.query import CQ
 from repro.streams.sequences import Update
-from tests._util import expected_result, fuzz_engine_vs_naive
+from tests._util import expected_result, fuzz_engine_vs_naive, fuzz_streams, snb_tuple_maker
 
 GRAPH_ARITY = {"G": 2}
 COMB_ARITY = {"G": 2, "V1": 1, "V2": 1}
-
-
-def snb_tuple_maker(rng, stream):
-    if stream == "message":
-        return (
-            rng.randrange(6),
-            rng.randrange(6),
-            None if rng.random() < 0.6 else rng.randrange(6),
-        )
-    if stream == "person":
-        return (rng.randrange(6), f"fn{rng.randrange(3)}", f"ln{rng.randrange(3)}")
-    if stream == "tag":
-        return (rng.randrange(6), f"tag{rng.randrange(6)}")
-    if stream == "knows":
-        return (rng.randrange(8), rng.randrange(8))
-    if stream == "message_tag":
-        return (rng.randrange(6), rng.randrange(6))
-    raise KeyError(stream)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -68,22 +51,73 @@ def test_snb_query_deltas(name, seed):
     )
 
 
-@pytest.mark.parametrize("name", ["3hop_proj", "4hop_proj"])
+@pytest.mark.parametrize("name", ["3hop_proj", "4hop_proj", "star", "snb_q1", "snb_q2"])
 def test_every_tree_gives_same_deltas(name):
     """The delta stream is plan-independent: every valid free-connex
-    tree of the query yields identical deltas."""
-    bq = GRAPH_QUERIES[name]()
-    trees = free_connex_trees(bq.cq)[:6]
+    tree of the query yields identical deltas. SNB Q2's trees include
+    a generalized root with three children and the self-joined knows;
+    SNB Q1's include boundary children with extra output attributes."""
+    bq = {**GRAPH_QUERIES, **SNB_QUERIES}[name]()
+    arity, maker = fuzz_streams(bq)
+    trees = free_connex_trees(bq.cq)
+    if bq.kind == "graph":
+        trees = trees[:6]
     for i, tree in enumerate(trees):
         fuzz_engine_vs_naive(
             lambda: CrownEngine(bq.cq, tree, post_filter=bq.post_filter),
             bq.cq,
-            GRAPH_ARITY,
+            arity,
             steps=150,
             dom=4,
             seed=100 + i,
             post_filter=bq.post_filter,
+            tuple_maker=maker,
         )
+
+
+def _hop4_atoms_with_output(output):
+    cq = GRAPH_QUERIES["4hop_proj"]().cq
+    return CQ(cq.relations, output, f"4hop_{''.join(output) or 'bool'}", cq.selections)
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize(
+    "output",
+    [(), ("B",), ("D", "A", "C", "B")],
+    ids=["boolean", "single_attr", "reordered"],
+)
+def test_output_shapes(output, seed):
+    """Slot-plan edge cases: an empty output projection (Boolean query),
+    a one-attribute projection, and an output order unlike tree order."""
+    cq = _hop4_atoms_with_output(output)
+    fuzz_engine_vs_naive(
+        lambda: CrownEngine(cq), cq, GRAPH_ARITY, steps=300, dom=6, seed=seed, check_full=10
+    )
+
+
+@pytest.mark.parametrize("name", ["4hop_proj", "star", "snb_q2", "snb_q3"])
+def test_bulk_load_then_mixed_updates(name):
+    """bulk_load (deltas suppressed, live views rebuilt from one full
+    enumeration) followed by mixed inserts and deletes."""
+    import random
+
+    bq = {**GRAPH_QUERIES, **SNB_QUERIES}[name]()
+    arity, maker = fuzz_streams(bq)
+    rng = random.Random(9)
+    make = maker or (lambda r, s: tuple(r.randrange(6) for _ in range(arity[s])))
+    initial = {s: {make(rng, s) for _ in range(25)} for s in arity}
+    fuzz_engine_vs_naive(
+        lambda: CrownEngine(bq.cq, post_filter=bq.post_filter),
+        bq.cq,
+        arity,
+        steps=200,
+        dom=6,
+        seed=1,
+        post_filter=bq.post_filter,
+        tuple_maker=maker,
+        check_full=20,
+        initial=initial,
+    )
 
 
 @pytest.mark.parametrize("seed", range(3))

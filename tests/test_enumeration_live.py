@@ -1,12 +1,12 @@
 """Full enumeration (Algorithm 5) and live views (Lemma 5.5)."""
 import pytest
 
-from repro.bench.queries import GRAPH_QUERIES
+from repro.bench.queries import GRAPH_QUERIES, SNB_QUERIES
 from repro.core.engine import CrownEngine
 from repro.cq.join_tree import best_tree
 from repro.cq.query import CQ, Relation
 from repro.streams.sequences import Update
-from tests._util import expected_result, random_updates
+from tests._util import expected_result, fuzz_streams, random_updates
 
 
 @pytest.mark.parametrize("name", sorted(GRAPH_QUERIES))
@@ -58,11 +58,14 @@ class TestLiveViews:
                 }
                 assert node.live == expect, f"{name} live({node.name}) step {step}"
 
-    def test_rebuild_live_equals_incremental(self):
-        bq = GRAPH_QUERIES["4hop_proj"]()
+    @pytest.mark.parametrize("name", ["4hop_proj", "snb_q2"])
+    def test_rebuild_live_equals_incremental(self, name):
+        bq = {**GRAPH_QUERIES, **SNB_QUERIES}[name]()
         eng = CrownEngine(bq.cq)
-        for s, t, ins in random_updates({"G": 2}, 200, dom=4, seed=6):
+        arity, maker = fuzz_streams(bq)
+        for s, t, ins in random_updates(arity, 200, dom=4, seed=6, tuple_maker=maker):
             eng.apply(Update(s, t, ins))
+        assert any(n.live for n in eng._live_nodes)
         incr = {n.name: set(n.live) for n in eng._live_nodes}
         eng.rebuild_live()
         rebuilt = {n.name: set(n.live) for n in eng._live_nodes}

@@ -13,6 +13,8 @@ from repro.streams.sequences import Update
 from repro.synth_data import graph_edges_pdf
 from tests.test_spark_crown import atom_filters_for, batched_graph_events
 
+pytestmark = pytest.mark.spark
+
 
 @pytest.mark.parametrize("engine_cls", [SparkStandardCP, SparkFirstOrderHIVM])
 def test_batch_deltas_match_core(spark, engine_cls):

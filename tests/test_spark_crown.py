@@ -14,6 +14,8 @@ from repro.spark.crown_spark import SparkCrown
 from repro.streams.sequences import Update
 from repro.synth_data import graph_edges_pdf
 
+pytestmark = pytest.mark.spark
+
 
 def atom_filters_for(cq):
     out = {}

@@ -12,6 +12,8 @@ from repro.cq.join_tree import best_tree
 from repro.spark.partitioned import PartitionedCrown, dispatch_plan
 from repro.streams.sequences import Update
 
+pytestmark = pytest.mark.spark
+
 
 def make_stream(n=250, dom=10, seed=7):
     rng = random.Random(seed)

@@ -14,6 +14,8 @@ from repro.oracle import assert_equivalent
 from repro.streams.sequences import Update
 from repro.synth_data import customer, lineitem, orders, snb_tables_pdf
 
+pytestmark = pytest.mark.spark
+
 
 def _load(eng, stream, pdf, cols, caster=None):
     for r in pdf[cols].itertuples(index=False):

@@ -112,11 +112,13 @@ class TestSNBGenerator:
 
 
 class TestKeyGenerators:
+    @pytest.mark.spark
     def test_zipf_skew(self, spark):
         df = zipf_keys(spark, n=5000, n_keys=100).toPandas()
         counts = df.k.value_counts()
         assert counts.iloc[0] > 5 * counts.median()
 
+    @pytest.mark.spark
     def test_uniform_coverage(self, spark):
         df = uniform_keys(spark, n=5000, n_keys=50).toPandas()
         assert df.k.nunique() == 50
