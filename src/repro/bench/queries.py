@@ -2,14 +2,17 @@
 
 Graph queries are self-joins of a single edge stream ``G(src, dst)``;
 attribute names follow the paper (A, B, C, …). ``FILTER OVER (x)``
-keeps 10% of the designated endpoint values via a deterministic hash
-selection pushed to the filtered atom (§7.2). Each entry also carries
-the DuckDB SQL used by the oracle for end-state result checks.
+keeps 10% of the designated endpoint values via the deterministic
+selection ``x % 10 == 0`` (:func:`keep10`) pushed to the filtered atom
+(§7.2). Each entry also carries the DuckDB SQL used by the oracle for
+end-state result checks.
 
-SNB queries run over the SNB-lite schema (repro.synth_data.snb_tables)
-with unified join-attribute names; ``m_c_replyof IS NULL`` is an atom
-selection, SNB Q3's ``<>`` a post-filter over output attributes, and
-SNB Q4's COUNT(DISTINCT) an extended-output query plus the
+SNB queries run over the SNB-lite schema
+(``repro.synth_data.snb_tables_pdf``, streamed by
+``repro.bench.harness.snb_stream``) with unified join-attribute names;
+``m_c_replyof IS NULL`` is an atom selection (NULL is ``None`` in
+tuples), SNB Q3's ``<>`` a post-filter over output attributes, and SNB
+Q4's COUNT(DISTINCT) an extended-output query plus the
 DistinctCountAggregator (§7.1/§7.3; see DESIGN.md).
 """
 from __future__ import annotations

@@ -320,6 +320,8 @@ class CrownEngine:
     def apply_atom(self, rel: str, t: tuple, is_insert: bool) -> list[tuple[int, tuple]]:
         """Atom-level update (used by the HyperCube-partitioned engine,
         which dispatches each self-join copy independently)."""
+        if rel not in self._atoms:
+            raise ValueError(f"{self.cq.name} has no relation {rel!r}")
         out = self._route(*self._atoms[rel], t, is_insert)
         self.stats["updates"] += 1
         self.stats["deltas"] += len(out)

@@ -1,1 +1,1 @@
-"""PySpark engines: micro-batch CROWN, baselines, HyperCube-partitioned CROWN."""
+"""PySpark engines: HyperCube-partitioned CROWN and the micro-batch baselines."""

@@ -141,10 +141,6 @@ def graph_edges_pdf(*, sf: float = 0.01, alpha: float = 1.2, seed: int = 7) -> p
     )
 
 
-def graph_edges(spark: SparkSession, *, sf: float = 0.01, alpha: float = 1.2, seed: int = 7) -> DataFrame:
-    return spark.createDataFrame(graph_edges_pdf(sf=sf, alpha=alpha, seed=seed))
-
-
 def snb_tables_pdf(*, sf: float = 0.01, seed: int = 11) -> dict[str, pd.DataFrame]:
     """LDBC-SNB-lite: person/knows/tag/message/message_tag (DESIGN.md).
 
@@ -205,7 +201,3 @@ def snb_tables_pdf(*, sf: float = 0.01, seed: int = 11) -> dict[str, pd.DataFram
         "message": message,
         "message_tag": message_tag,
     }
-
-
-def snb_tables(spark: SparkSession, *, sf: float = 0.01, seed: int = 11) -> dict[str, DataFrame]:
-    return {k: spark.createDataFrame(v) for k, v in snb_tables_pdf(sf=sf, seed=seed).items()}

@@ -105,6 +105,12 @@ class TestBasics:
             eng.apply_atom("S", (2,), True)
         assert eng.space() == 0
 
+    def test_unknown_relation_rejected(self):
+        eng = CrownEngine(two_hop())
+        with pytest.raises(ValueError, match="no relation 'T'"):
+            eng.apply_atom("T", (1, 2), True)
+        assert eng.space() == 0
+
     def test_unconsumed_stream_ignored(self):
         from repro.bench.queries import snb_q2
 

@@ -1,4 +1,6 @@
 """Spark baselines (standard CP, first-order HIVM) vs oracle/engines."""
+import random
+
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
@@ -7,13 +9,43 @@ from repro.bench.queries import hop3_full, hop3_proj
 from repro.core.engine import CrownEngine
 from repro.oracle import assert_equivalent
 from repro.spark.baseline_cp import SparkStandardCP
-from repro.spark.crown_spark import SparkCrown
 from repro.spark.hivm_spark import SparkFirstOrderHIVM
 from repro.streams.sequences import Update
 from repro.synth_data import graph_edges_pdf
-from tests.test_spark_crown import atom_filters_for, batched_graph_events
 
 pytestmark = pytest.mark.spark
+
+
+def atom_filters_for(cq):
+    """The FILTER OVER selections of ``cq`` as Spark column predicates."""
+    out = {}
+    for rel, _pred in cq.selections:
+        r = cq.relation(rel)
+        out[rel] = F.col(r.attrs[1]) % 10 == 0
+    return out
+
+
+def batched_graph_events(n_batches=3, per_batch=35, dom=12, seed=0):
+    """Batches of net ``(sign, src, dst)`` edge events: at most one event
+    per edge and batch, the last one wins."""
+    rng = random.Random(seed)
+    live = set()
+    batches = []
+    for _ in range(n_batches):
+        events = {}
+        for _ in range(per_batch):
+            if live and rng.random() < 0.3:
+                t = rng.choice(sorted(live))
+                live.discard(t)
+                events[t] = -1
+            else:
+                t = (rng.randrange(dom), rng.randrange(dom))
+                if t in live:
+                    continue
+                live.add(t)
+                events[t] = 1
+        batches.append([(s, a, b) for (a, b), s in events.items()])
+    return batches
 
 
 @pytest.mark.parametrize("engine_cls", [SparkStandardCP, SparkFirstOrderHIVM])
@@ -54,12 +86,12 @@ def test_spark_cp_state_superlinear(spark):
     n = 25
     edges = [(i, 0) for i in range(1, n + 1)] + [(0, n + j) for j in range(1, n + 1)]
     cp = SparkStandardCP(spark, bq.cq)
-    crown = SparkCrown(spark, bq.cq)
+    crown = CrownEngine(bq.cq)
     sd = pd.DataFrame([(1, a, b) for a, b in edges], columns=["sign", "a", "b"])
     cp.process_batch({"G": spark.createDataFrame(sd)})
-    crown.process_batch({"G": spark.createDataFrame(sd)})
+    crown.bulk_load({"G": edges})
     assert cp.state_rows() > n * n  # the n² view is materialized
-    assert crown.state_rows() < 20 * len(edges)
+    assert crown.space() < 20 * len(edges)  # CROWN stays linear (Lemma 4.1)
 
 
 def test_hivm_vs_duckdb(spark):
