@@ -97,7 +97,7 @@ class PartitionedCrown:
         plan = dispatch_plan(self.cq, self.tree, updates, self.p)
         cq, tree = self.cq, self.tree
 
-        def run_shard(key, pdf: pd.DataFrame) -> pd.DataFrame:  # pragma: no cover
+        def run_shard(key: tuple, pdf: pd.DataFrame) -> pd.DataFrame:  # pragma: no cover
             from repro.core.engine import CrownEngine
 
             pdf = pdf.sort_values("seq")

@@ -3,8 +3,8 @@ import random
 
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
+from repro.bench.experiments import spark_atom_filters
 from repro.bench.queries import hop3_full, hop3_proj
 from repro.core.engine import CrownEngine
 from repro.oracle import assert_equivalent
@@ -14,15 +14,6 @@ from repro.streams.sequences import Update
 from repro.synth_data import graph_edges_pdf
 
 pytestmark = pytest.mark.spark
-
-
-def atom_filters_for(cq):
-    """The FILTER OVER selections of ``cq`` as Spark column predicates."""
-    out = {}
-    for rel, _pred in cq.selections:
-        r = cq.relation(rel)
-        out[rel] = F.col(r.attrs[1]) % 10 == 0
-    return out
 
 
 def batched_graph_events(n_batches=3, per_batch=35, dom=12, seed=0):
@@ -54,7 +45,7 @@ def test_batch_deltas_match_core(spark, engine_cls):
 
     bq = hop3_full()
     cq = bq.cq
-    eng = engine_cls(spark, cq, atom_filters=atom_filters_for(cq))
+    eng = engine_cls(spark, cq, atom_filters=spark_atom_filters(cq))
     core = CrownEngine(cq)
     for batch in batched_graph_events(n_batches=3, per_batch=30, seed=11):
         net = Counter()
@@ -72,7 +63,7 @@ def test_batch_deltas_match_core(spark, engine_cls):
 def test_spark_cp_vs_duckdb(spark):
     bq = hop3_full()
     g = graph_edges_pdf(sf=0.002, seed=6)
-    eng = SparkStandardCP(spark, bq.cq, atom_filters=atom_filters_for(bq.cq))
+    eng = SparkStandardCP(spark, bq.cq, atom_filters=spark_atom_filters(bq.cq))
     eng.process_batch(
         {"G": spark.createDataFrame(g.assign(sign=1)[["sign", "src", "dst"]])}
     )

@@ -1,6 +1,7 @@
 """HyperCube-partitioned CROWN: shard-union == single-engine stream."""
 import json
 import random
+import warnings
 from collections import Counter
 
 import pandas as pd
@@ -83,7 +84,11 @@ def test_partitioned_matches_single(spark, p):
         exp = expected_deltas(bq.cq, updates)
         assert bool(exp) == (case != "empty"), case
         pc = PartitionedCrown(spark, bq.cq, p=p, tree=best_tree(bq.cq))
-        res = pc.run_stream(events_frame(updates), collect_deltas=True)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = pc.run_stream(events_frame(updates), collect_deltas=True)
+        # the shard function's type hints name the pandas UDF's eval type
+        assert not [w for w in caught if "TYPE_HINT_SHOULD_BE_SPECIFIED" in str(w.message)], case
         got = Counter()
         for payload in res.payload:
             for s, v in json.loads(payload):
